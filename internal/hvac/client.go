@@ -672,6 +672,21 @@ func (c *Client) readFromNodeOpts(ctx context.Context, node cluster.NodeID, path
 	}
 }
 
+// callerDone returns the caller's context error, or
+// context.DeadlineExceeded once the caller's deadline has passed even
+// if its timer has not fired yet — with coarse timers the derived RPC
+// deadline can expire first and surface as rpc.ErrTimeout. nil means
+// the caller still has time.
+func callerDone(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // readNodeOnce performs exactly one RPC read attempt against node and
 // classifies the outcome; evidence and retries are the caller's job.
 // try is the conn-class retry ordinal (0 = first try), recorded on the
@@ -715,16 +730,21 @@ func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path str
 	payload, status, err := cli.Call(callCtx, OpRead, req.Marshal())
 	cancel()
 	if err != nil {
+		if errors.Is(err, rpc.ErrClosed) {
+			c.dropConn(node)
+		}
+		// The caller's own deadline or cancellation says nothing about
+		// the node: check it before reading ErrTimeout as evidence.
+		if cerr := callerDone(ctx); cerr != nil {
+			return nil, cerr, classCtx
+		}
 		switch {
 		case errors.Is(err, rpc.ErrTimeout):
 			sp.Annotate("fail", "timeout")
 			return nil, err, classTimeout
 		case errors.Is(err, rpc.ErrClosed):
-			c.dropConn(node)
 			sp.Annotate("fail", "conn")
 			return nil, err, classConn
-		case ctx.Err() != nil:
-			return nil, ctx.Err(), classCtx
 		default:
 			sp.Annotate("fail", "timeout")
 			return nil, err, classTimeout

@@ -322,6 +322,54 @@ func TestParentContextCancellation(t *testing.T) {
 	}
 }
 
+// TestCallerDeadlineIsNotNodeEvidence pins the evidence rule: a read
+// whose caller deadline is shorter than RPCTimeout, against a node that
+// is slow but alive, ends with the caller's context.DeadlineExceeded
+// and charges the node nothing — no recorded timeout, no declaration.
+func TestCallerDeadlineIsNotNodeEvidence(t *testing.T) {
+	network := rpc.NewInprocNetwork()
+	pfs := storage.NewPFS()
+	pfs.Put("f", []byte("x"))
+	srv := NewServer(ServerConfig{Node: "node-00", ReadDelay: 300 * time.Millisecond}, pfs)
+	lis, err := network.Listen("node-00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	defer srv.Close()
+	c, err := NewClient(ClientConfig{
+		Endpoints:    map[cluster.NodeID]string{"node-00": "node-00"},
+		Network:      network,
+		Router:       staticRouter{node: "node-00"},
+		PFS:          pfs,
+		RPCTimeout:   5 * time.Second,
+		TimeoutLimit: 1,
+		MaxAttempts:  3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		_, err := c.Read(ctx, "f")
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("read %d: err = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if n := c.tracker.TimeoutCount("node-00"); n != 0 {
+		t.Errorf("tracker recorded %d timeouts against a live node", n)
+	}
+	if !c.tracker.IsAlive("node-00") {
+		t.Error("live node declared dead on the caller's deadline")
+	}
+	if st := c.Stats(); st.Timeouts != 0 {
+		t.Errorf("client counted %d timeouts, want 0", st.Timeouts)
+	}
+}
+
 func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(ClientConfig{}); err == nil {
 		t.Error("empty config should fail")

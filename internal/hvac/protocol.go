@@ -32,7 +32,8 @@ const (
 	// OpInvalidate drops a path from the server's NVMe cache.
 	OpInvalidate
 	// OpPut pushes an object into the server's NVMe cache — the replica
-	// write used by the replication extension (see ftcache.RingReplicated).
+	// write of hot-object fan-out, whose targets come from an
+	// hvac.Replicator (ftcache.RingRecache.Replicas).
 	OpPut
 	// OpPutBatch pushes many objects in one frame: the batched async
 	// ingest pipeline's wire op. The payload is a length-prefixed entry

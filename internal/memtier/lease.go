@@ -33,6 +33,9 @@ func acquireBuffer(n int) *buffer {
 	return buf
 }
 
+// pin adds a lease reference.
+func (buf *buffer) pin() { buf.refs.Add(1) }
+
 func (buf *buffer) decRef() {
 	if buf.refs.Add(-1) != 0 {
 		return

@@ -11,30 +11,22 @@
 // has the bytes on the wire — an evicted entry's buffer returns to the
 // pool only after the last lease drops.
 //
-// Accounting mirrors storage.NVMe: a single global atomic byte budget
-// across power-of-two shards (per-shard mutex + map + LRU), per-shard
-// atomic byte/object mirrors for lock-free telemetry, and cross-shard
-// eviction spill so one shard's admit pressure cannot strand budget in
-// the others. Demotion is RAM→NVMe→PFS: every eviction hands the
-// object to the OnDemote callback, which the server uses to guarantee
-// the next tier down still holds it before the RAM copy dies.
+// Sharding, LRU order and the byte budget come from the lru engine
+// (internal/lru), shared with storage.NVMe. Demotion is RAM→NVMe→PFS:
+// every eviction hands the object to the OnDemote callback, which the
+// server uses to guarantee the next tier down still holds it before the
+// RAM copy dies.
 package memtier
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/xhash"
+	"repro/internal/lru"
 )
 
 // DefaultShards matches storage.DefaultNVMeShards: enough to spread a
 // busy node's request goroutines across independent locks.
-const DefaultShards = 16
-
-// shardSeed decorrelates the shard-pick hash from the consistent-hash
-// ring's key hash (same constant as the NVMe store, same reason).
-const shardSeed = 0x9E3779B97F4A7C15
+const DefaultShards = lru.DefaultShards
 
 // OnDemote is called for every object evicted by admission pressure,
 // outside any shard lock, with the object's bytes still valid for the
@@ -46,37 +38,13 @@ type OnDemote func(path string, data []byte)
 
 // Tier is the sharded RAM cache. The zero value is not usable; use New.
 type Tier struct {
-	capacity int64
-	used     atomic.Int64
-	shards   []shard
-	mask     uint64
-	onDemote OnDemote // nil = no demotion hook
+	lru      *lru.Shards[*buffer] // each resident buffer holds one residency reference
+	onDemote OnDemote             // nil = no demotion hook
 
-	hits          atomic.Int64
-	misses        atomic.Int64
 	admits        atomic.Int64
-	evictions     atomic.Int64
 	demotions     atomic.Int64 // evictions that ran the OnDemote hook
 	invalidations atomic.Int64
 	leases        atomic.Int64 // currently outstanding leases (gauge)
-}
-
-type shard struct {
-	mu    sync.Mutex
-	items map[string]*list.Element
-	lru   *list.List // front = most recently used
-	// bytes/objects mirror the shard's content for lock-free telemetry
-	// reads; written under mu, loaded without it.
-	bytes   atomic.Int64
-	objects atomic.Int64
-	_       [40]byte // pad to a cache line so shard locks don't false-share
-}
-
-// entry is one resident object. buf holds one reference for residency;
-// each outstanding Lease holds one more.
-type entry struct {
-	path string
-	buf  *buffer
 }
 
 // New creates a tier with the given byte capacity and DefaultShards
@@ -90,28 +58,7 @@ func New(capacity int64, onDemote OnDemote) *Tier {
 // of two; non-positive selects DefaultShards). shards=1 gives exact
 // global LRU order, which the eviction-order tests rely on.
 func NewShards(capacity int64, shards int, onDemote OnDemote) *Tier {
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	t := &Tier{
-		capacity: capacity,
-		shards:   make([]shard, n),
-		mask:     uint64(n - 1),
-		onDemote: onDemote,
-	}
-	for i := range t.shards {
-		t.shards[i].items = make(map[string]*list.Element)
-		t.shards[i].lru = list.New()
-	}
-	return t
-}
-
-func (t *Tier) shardFor(path string) *shard {
-	return &t.shards[xhash.XXH64String(path, shardSeed)&t.mask]
+	return &Tier{lru: lru.New[*buffer](capacity, shards), onDemote: onDemote}
 }
 
 // Get returns a zero-copy lease on path's bytes, refreshing recency.
@@ -122,31 +69,18 @@ func (t *Tier) shardFor(path string) *shard {
 //
 //ftc:hotpath
 func (t *Tier) Get(path string) (*Lease, bool) {
-	sh := t.shardFor(path)
-	sh.mu.Lock() //ftclint:ignore hotpathlock per-shard LRU lock is the sharded design; contention is 1/N by construction
-	el, ok := sh.items[path]
+	// The lease reference is taken under the shard lock, before any
+	// evictor can unlink the entry and drop its residency reference.
+	buf, ok := t.lru.Get(path, (*buffer).pin)
 	if !ok {
-		sh.mu.Unlock()
-		t.misses.Add(1)
 		return nil, false
 	}
-	sh.lru.MoveToFront(el)
-	buf := el.Value.(*entry).buf
-	buf.refs.Add(1) // lease reference, taken under the shard lock
-	sh.mu.Unlock()
-	t.hits.Add(1)
 	t.leases.Add(1)
 	return &Lease{tier: t, buf: buf}, true
 }
 
 // Has reports residency without perturbing recency or counters.
-func (t *Tier) Has(path string) bool {
-	sh := t.shardFor(path)
-	sh.mu.Lock()
-	_, ok := sh.items[path]
-	sh.mu.Unlock()
-	return ok
-}
+func (t *Tier) Has(path string) bool { return t.lru.Has(path) }
 
 // Admit copies data into a pooled buffer and makes it resident,
 // evicting least-recently-used objects (own shard first, then spilling
@@ -155,111 +89,30 @@ func (t *Tier) Has(path string) bool {
 // Admitting an already-resident path replaces its bytes.
 func (t *Tier) Admit(path string, data []byte) bool {
 	size := int64(len(data))
-	if t.capacity <= 0 || size > t.capacity {
+	if c := t.lru.Capacity(); c <= 0 || size > c {
 		return false
 	}
 	buf := acquireBuffer(len(data))
 	copy(buf.b, data)
-	sh := t.shardFor(path)
-	var demote []*entry
-	sh.mu.Lock()
-	kept := t.insertLocked(sh, path, buf, &demote)
-	t.evictShardLocked(sh, kept, &demote)
-	sh.mu.Unlock()
-	if t.used.Load() > t.capacity {
-		t.evictSpill(sh, kept, &demote)
-	}
+	var victims []lru.Item[*buffer]
+	old, replaced := t.lru.Put(path, buf, size, &victims)
 	t.admits.Add(1)
-	t.finishEvictions(demote)
-	return true
-}
-
-// insertLocked stores or replaces path in sh (lock held), maintaining
-// the accounting, and returns the entry's LRU element. A replaced
-// buffer joins demote-less teardown via out (no demotion: the replacer
-// is the fresher copy).
-func (t *Tier) insertLocked(sh *shard, path string, buf *buffer, out *[]*entry) *list.Element {
-	size := int64(len(buf.b))
-	if el, ok := sh.items[path]; ok {
-		old := el.Value.(*entry)
-		t.used.Add(size - int64(len(old.buf.b)))
-		sh.bytes.Add(size - int64(len(old.buf.b)))
-		// The old buffer dies without demotion — mark it so
-		// finishEvictions drops it straight to the pool.
-		*out = append(*out, &entry{path: "", buf: old.buf})
-		el.Value = &entry{path: path, buf: buf}
-		sh.lru.MoveToFront(el)
-		return el
+	if replaced {
+		old.decRef() // no demotion: the replacer is the fresher copy
 	}
-	el := sh.lru.PushFront(&entry{path: path, buf: buf})
-	sh.items[path] = el
-	t.used.Add(size)
-	sh.bytes.Add(size)
-	sh.objects.Add(1)
-	return el
-}
-
-// evictShardLocked evicts LRU-order objects from sh (lock held) until
-// the global budget is met or only keep remains, collecting victims
-// into out for demotion outside the lock.
-func (t *Tier) evictShardLocked(sh *shard, keep *list.Element, out *[]*entry) {
-	for t.used.Load() > t.capacity {
-		tail := sh.lru.Back()
-		if tail != nil && tail == keep {
-			tail = tail.Prev()
-		}
-		if tail == nil {
-			return
-		}
-		ent := tail.Value.(*entry)
-		sh.lru.Remove(tail)
-		delete(sh.items, ent.path)
-		size := int64(len(ent.buf.b))
-		t.used.Add(-size)
-		sh.bytes.Add(-size)
-		sh.objects.Add(-1)
-		t.evictions.Add(1)
-		*out = append(*out, ent)
-	}
-}
-
-// evictSpill walks the other shards (one lock at a time) until the
-// budget is met; from is revisited last with keep still protected.
-func (t *Tier) evictSpill(from *shard, keep *list.Element, out *[]*entry) {
-	start := 0
-	for i := range t.shards {
-		if &t.shards[i] == from {
-			start = i
-			break
-		}
-	}
-	for off := 1; off <= len(t.shards); off++ {
-		if t.used.Load() <= t.capacity {
-			return
-		}
-		sh := &t.shards[(start+off)&int(t.mask)]
-		k := keep
-		if sh != from {
-			k = nil
-		}
-		sh.mu.Lock()
-		t.evictShardLocked(sh, k, out)
-		sh.mu.Unlock()
-	}
-}
-
-// finishEvictions runs outside every shard lock: victims with a path
-// are offered to the demotion hook while their residency reference
-// still pins the bytes, then the reference drops — the buffer returns
-// to the pool once the last lease (if any) releases.
-func (t *Tier) finishEvictions(victims []*entry) {
-	for _, ent := range victims {
-		if ent.path != "" && t.onDemote != nil {
-			t.onDemote(ent.path, ent.buf.b)
+	// Outside every shard lock: each victim is offered to the demotion
+	// hook while its residency reference still pins the bytes, then the
+	// reference drops — the buffer returns to the pool once the last
+	// lease (if any) releases. path's own older copy, evicted to make
+	// room for the new one, is stale and never demoted.
+	for _, v := range victims {
+		if t.onDemote != nil && v.Key != path {
+			t.onDemote(v.Key, v.Val.b)
 			t.demotions.Add(1)
 		}
-		ent.buf.decRef()
+		v.Val.decRef()
 	}
+	return true
 }
 
 // Invalidate removes path if resident, reporting whether it was. The
@@ -268,79 +121,35 @@ func (t *Tier) finishEvictions(victims []*entry) {
 // old bytes down a tier would resurrect them. Outstanding leases stay
 // valid until released.
 func (t *Tier) Invalidate(path string) bool {
-	sh := t.shardFor(path)
-	sh.mu.Lock()
-	el, ok := sh.items[path]
-	if !ok {
-		sh.mu.Unlock()
-		return false
+	buf, ok := t.lru.Delete(path)
+	if ok {
+		t.invalidations.Add(1)
+		buf.decRef()
 	}
-	ent := el.Value.(*entry)
-	sh.lru.Remove(el)
-	delete(sh.items, path)
-	size := int64(len(ent.buf.b))
-	t.used.Add(-size)
-	sh.bytes.Add(-size)
-	sh.objects.Add(-1)
-	sh.mu.Unlock()
-	t.invalidations.Add(1)
-	ent.buf.decRef()
-	return true
+	return ok
 }
 
 // Clear drops every resident object without demotion — the crash /
 // re-own path (a node losing its tier on restart starts empty).
-func (t *Tier) Clear() {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		var bytes int64
-		victims := make([]*buffer, 0, len(sh.items))
-		for _, el := range sh.items {
-			ent := el.Value.(*entry)
-			bytes += int64(len(ent.buf.b))
-			victims = append(victims, ent.buf)
-		}
-		sh.items = make(map[string]*list.Element)
-		sh.lru.Init()
-		t.used.Add(-bytes)
-		sh.bytes.Add(-bytes)
-		sh.objects.Store(0)
-		sh.mu.Unlock()
-		for _, b := range victims {
-			b.decRef()
-		}
-	}
-}
+func (t *Tier) Clear() { t.lru.Clear((*buffer).decRef) }
 
 // Capacity returns the configured byte budget (<= 0 = disabled).
-func (t *Tier) Capacity() int64 { return t.capacity }
+func (t *Tier) Capacity() int64 { return t.lru.Capacity() }
 
 // StatsAtomic returns object count and resident bytes from the atomic
 // mirrors — lock-free, for telemetry scrapes.
 //
 //ftc:hotpath
-func (t *Tier) StatsAtomic() (objects, bytes int64) {
-	for i := range t.shards {
-		objects += t.shards[i].objects.Load()
-	}
-	return objects, t.used.Load()
-}
+func (t *Tier) StatsAtomic() (objects, bytes int64) { return t.lru.StatsAtomic() }
 
 // ShardBytes returns per-shard byte occupancy (lock-free).
-func (t *Tier) ShardBytes() []int64 {
-	out := make([]int64, len(t.shards))
-	for i := range t.shards {
-		out[i] = t.shards[i].bytes.Load()
-	}
-	return out
-}
+func (t *Tier) ShardBytes() []int64 { return t.lru.ShardBytes() }
 
 // Counters returns the cumulative hit/miss/admit/eviction/demotion/
 // invalidation counts.
 func (t *Tier) Counters() (hits, misses, admits, evictions, demotions, invalidations int64) {
-	return t.hits.Load(), t.misses.Load(), t.admits.Load(),
-		t.evictions.Load(), t.demotions.Load(), t.invalidations.Load()
+	hits, misses, evictions, _ = t.lru.Counters()
+	return hits, misses, t.admits.Load(), evictions, t.demotions.Load(), t.invalidations.Load()
 }
 
 // ActiveLeases returns the number of leases handed out by Get and not

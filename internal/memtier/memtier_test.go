@@ -249,3 +249,78 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatalf("budget overshoot: %d", bytes)
 	}
 }
+
+// TestAdmitBudgetNeverOvershotRace polls the tier's byte count from a
+// watcher while eight goroutines admit into a small sharded tier under
+// constant eviction and cross-shard spill: every poll, not just the
+// quiescent state, must be within capacity.
+func TestAdmitBudgetNeverOvershotRace(t *testing.T) {
+	const (
+		capacity = 4096
+		objBytes = 96
+	)
+	tier := NewShards(capacity, 8, nil)
+	stop := make(chan struct{})
+	watcherDone := make(chan struct{})
+	var polls, overshoots int
+	var worst int64
+	go func() {
+		defer close(watcherDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			polls++
+			if _, bytes := tier.StatsAtomic(); bytes > capacity {
+				overshoots++
+				worst = max(worst, bytes)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			data := make([]byte, objBytes)
+			for i := 0; i < 20000; i++ {
+				tier.Admit(fmt.Sprintf("g%d/f%d", g, i%300), data)
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-watcherDone
+	if overshoots > 0 {
+		t.Fatalf("%d of %d polls saw bytes > capacity %d (worst %d)", overshoots, polls, capacity, worst)
+	}
+	if _, _, _, evictions, _, _ := tier.Counters(); evictions == 0 {
+		t.Fatal("expected eviction churn")
+	}
+}
+
+// TestReplaceInFullTierDoesNotDemoteStaleBytes admits a new version of
+// the least recently used path into a full tier: the old bytes may be
+// evicted to make room, but must not be demoted, and no other object
+// may be lost.
+func TestReplaceInFullTierDoesNotDemoteStaleBytes(t *testing.T) {
+	var demoted []string
+	tier := NewShards(30, 1, func(path string, data []byte) {
+		demoted = append(demoted, path+"="+string(data))
+	})
+	tier.Admit("a", []byte("aaaaaaaaa1"))
+	tier.Admit("b", []byte("bbbbbbbbb1"))
+	tier.Admit("c", []byte("ccccccccc1"))
+	tier.Admit("a", []byte("aaaaaaaaa2"))
+	if len(demoted) != 0 {
+		t.Fatalf("replacing a demoted %v", demoted)
+	}
+	if got := get(t, tier, "a"); string(got) != "aaaaaaaaa2" {
+		t.Fatalf("a = %q, want the new bytes", got)
+	}
+	if !tier.Has("b") || !tier.Has("c") {
+		t.Fatalf("replacement evicted a bystander: b=%v c=%v", tier.Has("b"), tier.Has("c"))
+	}
+}
