@@ -31,7 +31,7 @@ import (
 
 func main() {
 	servers := flag.String("servers", "", "comma-separated node=host:port pairs (required)")
-	strategy := flag.String("strategy", "ftnvme", "fault-tolerance strategy: noft|ftpfs|ftnvme")
+	strategy := flag.String("strategy", "ftnvme", "fault-tolerance strategy: noft|ftpfs|ftnvme|adaptive")
 	vnodes := flag.Int("vnodes", 100, "virtual nodes per physical node (ftnvme)")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-RPC timeout (TTL)")
 	limit := flag.Int("timeout-limit", 3, "consecutive timeouts before declaring a node failed")
@@ -98,7 +98,12 @@ func main() {
 		fail(err)
 	}
 
-	router := ftcache.NewRouter(ftcache.StrategyKind(*strategy), order, *vnodes)
+	kind := ftcache.StrategyKind(*strategy)
+	if !kind.Known() {
+		fmt.Fprintf(os.Stderr, "ftcctl: unknown strategy %q\n", *strategy)
+		os.Exit(2)
+	}
+	router := ftcache.NewRouter(kind, order, *vnodes)
 	cli, err := hvac.NewClient(hvac.ClientConfig{
 		Endpoints:    endpoints,
 		Network:      rpc.TCPNetwork{},

@@ -105,6 +105,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Strategy == "" {
 		cfg.Strategy = ftcache.KindNVMe
 	}
+	if !cfg.Strategy.Known() {
+		return nil, fmt.Errorf("core: unknown strategy %q", cfg.Strategy)
+	}
 	network := cfg.Network
 	if network == nil {
 		network = rpc.NewInprocNetwork()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,6 +58,19 @@ func TestClusterBootAndStage(t *testing.T) {
 func TestInvalidConfig(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Nodes: 0}); err == nil {
 		t.Error("zero nodes should fail")
+	}
+}
+
+// An unknown strategy must fail where it enters instead of silently
+// running the NoFT baseline, whose first failure kills the job.
+func TestNewClusterRejectsUnknownStrategy(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Nodes: 2, Strategy: "bogus"})
+	if err == nil {
+		c.Close()
+		t.Fatal("unknown strategy accepted")
+	}
+	if !strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("error %q does not name the strategy", err)
 	}
 }
 
@@ -187,7 +201,7 @@ func TestStrategyPFSRedirect(t *testing.T) {
 		t.Errorf("PFS reads: epoch2=%d epoch3=%d; redirection should repeat identically",
 			epoch2Reads, epoch3Reads)
 	}
-	if pr, ok := router.(*ftcache.PFSRedirect); !ok || pr.FailedCount() != 1 {
+	if pr, ok := router.(*ftcache.Static); !ok || pr.FailedCount() != 1 {
 		t.Errorf("router state: %T", router)
 	}
 }

@@ -1,125 +1,141 @@
-// Package ftcache implements the three fault-tolerance policies the
-// paper evaluates (§IV, §V-A):
+// Package ftcache implements the fault-tolerance policies the paper
+// evaluates (§IV, §V-A). A policy is a placement crossed with a failure
+// reaction. Placement is HVAC's static modulo or the consistent-hash
+// ring; the reaction to a declared failure is abort, redirect to the
+// PFS, or re-own on the ring:
 //
-//   - NoFT — the original HVAC baseline: static modulo placement, no
-//     recovery. The first declared node failure aborts the job ("the
-//     baseline HVAC lacks fault-tolerant aspects, resulting in immediate
-//     job termination upon failure").
-//   - PFSRedirect (FT w/ PFS, §IV-A) — placement stays static; once a
-//     node is declared failed, every read that hashes to it goes to the
-//     PFS directly, for the remainder of the job.
-//   - RingRecache (FT w/ NVMe, §IV-B) — placement lives on a consistent-
-//     hash ring with virtual nodes; a failure removes the node from the
-//     ring, so its files re-map to clockwise successors. The new owner
-//     misses once, fetches from PFS, recaches on its NVMe — one extra
-//     PFS access per lost file, total.
+//   - NoFT — the original HVAC baseline: modulo placement, abort. The
+//     first declared node failure aborts the job ("the baseline HVAC
+//     lacks fault-tolerant aspects, resulting in immediate job
+//     termination upon failure").
+//   - FT w/ PFS (§IV-A) — modulo placement, PFS redirect: once a node is
+//     declared failed, every read that hashes to it goes to the PFS
+//     directly, for the remainder of the job.
+//   - FT w/ NVMe (§IV-B) — ring placement, re-own: a failure removes the
+//     node from the ring, so its files re-map to clockwise successors.
+//     The new owner misses once, fetches from PFS, recaches on its NVMe —
+//     one extra PFS access per lost file, total.
 //
-// All three implement hvac.Router and are driven by the client's
+// Static serves every pairing whose placement never changes (abort or
+// PFS redirect); RingRecache is the re-own reaction. Switchable
+// (switchable.go) runs the ring-placed family under live policy
+// control. All implement hvac.Router and are driven by the client's
 // timeout-based failure detector.
 package ftcache
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/hashring"
 	"repro/internal/hvac"
-	"repro/internal/partition"
 	"repro/internal/telemetry"
+	"repro/internal/xhash"
 )
 
-// NoFT is the fault-intolerant baseline router.
-type NoFT struct {
-	part    *partition.Modulo
-	aborted atomic.Bool
+// Placement maps a path to its owning node; ok is false when there are
+// no members. *hashring.Ring and Modulo implement it.
+type Placement interface {
+	Owner(path string) (cluster.NodeID, bool)
 }
 
-// NewNoFT creates the baseline router over the initial membership.
-func NewNoFT(nodes []cluster.NodeID) *NoFT {
-	return &NoFT{part: partition.NewModulo(nodes)}
+// Modulo is HVAC's original static placement: FNV-1a of the path modulo
+// N, indexed into the sorted membership. It never changes once built,
+// so Owner takes no lock.
+type Modulo []cluster.NodeID
+
+// NewModulo builds the modulo placement over a sorted copy of nodes.
+func NewModulo(nodes []cluster.NodeID) Modulo {
+	m := slices.Clone(Modulo(nodes))
+	slices.Sort(m)
+	return m
+}
+
+// Owner implements Placement.
+//
+//ftc:hotpath
+func (m Modulo) Owner(path string) (cluster.NodeID, bool) {
+	if len(m) == 0 {
+		return "", false
+	}
+	return m[xhash.FNV1aString(path)%uint64(len(m))], true
+}
+
+// Static routes on a placement that never changes, so a failure moves
+// no key: it only decides what reads get once a node is declared
+// failed. With the RoutePFS reaction a failed owner's reads go to the
+// PFS, which is why every post-failure access to a lost file pays the
+// PFS price again; with RouteAbort any failure anywhere ends the job.
+// Recovery lifts a node's redirect, and an abort once no node is
+// failed.
+type Static struct {
+	name  string
+	place Placement
+	react hvac.DecisionKind
+
+	mu     sync.Mutex                              // serialises failed-set writers
+	failed atomic.Pointer[map[cluster.NodeID]bool] // copy-on-write; Route never locks
+}
+
+// NewStatic creates a router over place that answers react — RouteAbort
+// or RoutePFS — for the reads a failure takes away, and for every read
+// when place has no members.
+func NewStatic(name string, place Placement, react hvac.DecisionKind) *Static {
+	s := &Static{name: name, place: place, react: react}
+	s.failed.Store(&map[cluster.NodeID]bool{})
+	return s
 }
 
 // Name implements hvac.Router.
-func (n *NoFT) Name() string { return "NoFT" }
+func (s *Static) Name() string { return s.name }
 
 // Route implements hvac.Router.
-func (n *NoFT) Route(path string) hvac.Decision {
-	if n.aborted.Load() {
-		return hvac.Decision{Kind: hvac.RouteAbort}
-	}
-	owner, ok := n.part.Owner(path)
-	if !ok {
-		return hvac.Decision{Kind: hvac.RouteAbort}
-	}
-	return hvac.Decision{Kind: hvac.RouteNode, Node: owner}
-}
-
-// NodeFailed implements hvac.Router: any failure is fatal.
-func (n *NoFT) NodeFailed(cluster.NodeID) { n.aborted.Store(true) }
-
-// Aborted reports whether a failure has terminated the job.
-func (n *NoFT) Aborted() bool { return n.aborted.Load() }
-
-// PFSRedirect is the FT w/ PFS router: static placement, failed owners'
-// traffic redirected to the PFS for the rest of the job.
-type PFSRedirect struct {
-	part *partition.Modulo // over the ORIGINAL membership; never shrinks
-
-	mu     sync.RWMutex
-	failed map[cluster.NodeID]bool
-}
-
-// NewPFSRedirect creates the FT w/ PFS router.
-func NewPFSRedirect(nodes []cluster.NodeID) *PFSRedirect {
-	return &PFSRedirect{
-		part:   partition.NewModulo(nodes),
-		failed: make(map[cluster.NodeID]bool),
-	}
-}
-
-// Name implements hvac.Router.
-func (p *PFSRedirect) Name() string { return "FT w/ PFS" }
-
-// Route implements hvac.Router. The hash is computed over the original
-// membership — this strategy never re-partitions, which is exactly why
-// every post-failure access to a lost file pays the PFS price again.
-func (p *PFSRedirect) Route(path string) hvac.Decision {
-	owner, ok := p.part.Owner(path)
-	if !ok {
-		return hvac.Decision{Kind: hvac.RoutePFS}
-	}
-	p.mu.RLock()
-	dead := p.failed[owner]
-	p.mu.RUnlock()
-	if dead {
-		return hvac.Decision{Kind: hvac.RoutePFS}
+//
+//ftc:hotpath
+func (s *Static) Route(path string) hvac.Decision {
+	owner, ok := s.place.Owner(path)
+	failed := *s.failed.Load()
+	if !ok || len(failed) > 0 && (s.react == hvac.RouteAbort || failed[owner]) {
+		return hvac.Decision{Kind: s.react}
 	}
 	return hvac.Decision{Kind: hvac.RouteNode, Node: owner}
 }
 
 // NodeFailed implements hvac.Router.
-func (p *PFSRedirect) NodeFailed(node cluster.NodeID) {
-	p.mu.Lock()
-	p.failed[node] = true
-	p.mu.Unlock()
-}
+func (s *Static) NodeFailed(node cluster.NodeID) { s.mark(node, true) }
 
 // NodeRecovered implements hvac.RecoveryAware: stop bypassing the node.
 // Its cache may be stale-empty, but the server's miss path repopulates
 // it transparently.
-func (p *PFSRedirect) NodeRecovered(node cluster.NodeID) {
-	p.mu.Lock()
-	delete(p.failed, node)
-	p.mu.Unlock()
+func (s *Static) NodeRecovered(node cluster.NodeID) { s.mark(node, false) }
+
+// mark publishes a copy of the failed set with node added or removed.
+func (s *Static) mark(node cluster.NodeID, failed bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	next := maps.Clone(*s.failed.Load())
+	if failed {
+		next[node] = true
+	} else {
+		delete(next, node)
+	}
+	s.failed.Store(&next)
 }
 
-// FailedCount returns the number of nodes being redirected around.
-func (p *PFSRedirect) FailedCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.failed)
-}
+// FailedCount returns the number of members currently marked failed.
+func (s *Static) FailedCount() int { return len(*s.failed.Load()) }
+
+// Aborted reports whether an abort-reaction router has a failure in
+// force.
+func (s *Static) Aborted() bool { return s.react == hvac.RouteAbort && s.FailedCount() > 0 }
+
+// terminal shows only hvac.Router's methods of the router it wraps, so
+// the client never reports a recovery to it: the paper's NoFT job stays
+// dead even when a revived node comes back.
+type terminal struct{ hvac.Router }
 
 // RingRecache is the FT w/ NVMe router: consistent-hash-ring placement
 // with elastic recaching on failure.
@@ -202,13 +218,14 @@ func (r *RingRecache) Replicas(path string, n int) []cluster.NodeID {
 }
 
 var (
-	_ hvac.Router        = (*NoFT)(nil)
-	_ hvac.Router        = (*PFSRedirect)(nil)
+	_ Placement          = Modulo(nil)
+	_ Placement          = (*hashring.Ring)(nil)
+	_ hvac.Router        = (*Static)(nil)
+	_ hvac.RecoveryAware = (*Static)(nil)
 	_ hvac.Router        = (*RingRecache)(nil)
 	_ hvac.Replicator    = (*RingRecache)(nil)
 	_ hvac.RecoveryAware = (*RingRecache)(nil)
 	_ hvac.RejoinPlanner = (*RingRecache)(nil)
-	_ hvac.RecoveryAware = (*PFSRedirect)(nil)
 )
 
 // StrategyKind enumerates the three policies for config surfaces.
@@ -221,17 +238,29 @@ const (
 	KindNVMe StrategyKind = "ftnvme"
 )
 
+// Known reports whether k names a strategy NewRouter builds. Config
+// surfaces check it where a kind enters, since NewRouter itself falls
+// back to the baseline.
+func (k StrategyKind) Known() bool {
+	switch k {
+	case KindNoFT, KindPFS, KindNVMe, KindAdaptive:
+		return true
+	}
+	return false
+}
+
 // NewRouter constructs the named strategy. virtualNodes applies to
-// KindNVMe and KindAdaptive (the ring-placement strategies).
+// KindNVMe and KindAdaptive (the ring-placement strategies). An unknown
+// kind builds the NoFT baseline.
 func NewRouter(kind StrategyKind, nodes []cluster.NodeID, virtualNodes int) hvac.Router {
 	switch kind {
 	case KindPFS:
-		return NewPFSRedirect(nodes)
+		return NewStatic("FT w/ PFS", NewModulo(nodes), hvac.RoutePFS)
 	case KindNVMe:
 		return NewRingRecache(nodes, virtualNodes)
 	case KindAdaptive:
 		return NewSwitchable(nodes, virtualNodes, KindNVMe)
 	default:
-		return NewNoFT(nodes)
+		return terminal{NewStatic("NoFT", NewModulo(nodes), hvac.RouteAbort)}
 	}
 }

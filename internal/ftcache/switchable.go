@@ -1,33 +1,33 @@
 // Switchable routing: the adaptive strategy family.
 //
-// The three paper strategies differ in two independent axes: *placement*
-// (static modulo vs consistent-hash ring) and *failure response* (abort
-// vs PFS redirect vs ring recache). Switching between different
-// placements at runtime would remap nearly the whole key space — a
-// recache storm per switch — so the adaptive family pins placement to
-// the consistent-hash ring and varies only the failure response:
+// Switching between placements at runtime would remap nearly the whole
+// key space — a recache storm per switch — so the adaptive family pins
+// placement to the consistent-hash ring and varies only the failure
+// reaction:
 //
-//   - RingNoFT    — ring owner; any declared failure aborts (escape
-//     hatch: see Switchable.Route).
-//   - RingPFS     — ring owner computed over the ORIGINAL membership
-//     (the ring never shrinks); a failed owner's reads go to the PFS.
-//   - RingRecache — the paper's FT w/ NVMe, unchanged: live ring,
-//     failures recache onto clockwise successors.
+//   - noft   — Static over a frozen ring, reaction abort: any declared
+//     failure aborts (escape hatch: see Switchable.Route). Name
+//     "NoFT (ring)".
+//   - ftpfs  — Static over the same frozen ring, reaction PFS: the ring
+//     keeps the ORIGINAL membership, so a failed owner's reads go to
+//     the PFS. Name "FT w/ PFS (ring)".
+//   - ftnvme — RingRecache, the paper's FT w/ NVMe, unchanged: live
+//     ring, failures recache onto clockwise successors.
 //
-// With identical vnode configuration all three agree bit-for-bit on
-// healthy-state ownership, so a switch moves zero keys while the fleet
-// is healthy and only changes what happens to a failed node's arcs.
+// The frozen ring and the live ring are built from the same membership
+// and vnode configuration, so all three agree bit-for-bit on
+// healthy-state ownership: a switch moves zero keys while the fleet is
+// healthy and only changes what happens to a failed node's arcs.
 //
 // Switchable is the atomically-swapped snapshot the ftpolicy controller
-// drives: Route is one atomic pointer load plus the active strategy's
-// own (lock-free or RLock-cheap) lookup, mirroring the copy-on-write
-// ring. Failure/recovery evidence fans out to EVERY member strategy, so
-// each one's world view is always current and a switch is a pure
-// pointer swap — no rebuild, no torn state, no catch-up phase.
+// drives: Route is one atomic pointer load plus the active member's own
+// lock-free lookup, mirroring the copy-on-write ring. Failure/recovery
+// evidence fans out to EVERY member, so each one's world view is always
+// current and a switch is a pure pointer swap — no rebuild, no torn
+// state, no catch-up phase.
 package ftcache
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -39,97 +39,6 @@ import (
 // KindAdaptive selects the Switchable router: the ring-placement
 // strategy family under live policy control.
 const KindAdaptive StrategyKind = "adaptive"
-
-// RingStatic routes on a consistent-hash ring over the original
-// membership — the ring is never modified after construction, so
-// placement is static like the paper's modulo strategies but agrees
-// with RingRecache's healthy-state ownership. A failed owner's reads
-// get the configured fallback decision: RoutePFS gives the adaptive
-// ftpfs mode, RouteAbort the adaptive noft mode.
-type RingStatic struct {
-	ring    *hashring.Ring
-	name    string
-	onFail  hvac.DecisionKind
-	mu      sync.RWMutex
-	failed  map[cluster.NodeID]bool
-	aborted atomic.Bool // noft mode: any failure is fatal
-}
-
-// NewRingPFS creates the adaptive ftpfs mode: static ring placement,
-// failed owners redirected to the PFS.
-func NewRingPFS(nodes []cluster.NodeID, virtualNodes int) *RingStatic {
-	return &RingStatic{
-		ring:   hashring.NewWithNodes(hashring.Config{VirtualNodes: virtualNodes}, nodes),
-		name:   "FT w/ PFS (ring)",
-		onFail: hvac.RoutePFS,
-		failed: make(map[cluster.NodeID]bool),
-	}
-}
-
-// NewRingNoFT creates the adaptive noft mode: static ring placement,
-// any declared failure aborts the job (the Switchable escape hatch
-// converts the abort into a strategy switch instead).
-func NewRingNoFT(nodes []cluster.NodeID, virtualNodes int) *RingStatic {
-	return &RingStatic{
-		ring:   hashring.NewWithNodes(hashring.Config{VirtualNodes: virtualNodes}, nodes),
-		name:   "NoFT (ring)",
-		onFail: hvac.RouteAbort,
-		failed: make(map[cluster.NodeID]bool),
-	}
-}
-
-// Name implements hvac.Router.
-func (r *RingStatic) Name() string { return r.name }
-
-// Route implements hvac.Router: the static ring owner, or the
-// configured fallback when the owner (or, in noft mode, anything) has
-// failed.
-func (r *RingStatic) Route(path string) hvac.Decision {
-	if r.onFail == hvac.RouteAbort && r.aborted.Load() {
-		return hvac.Decision{Kind: hvac.RouteAbort}
-	}
-	owner, ok := r.ring.Owner(path)
-	if !ok {
-		return hvac.Decision{Kind: hvac.RoutePFS}
-	}
-	r.mu.RLock()
-	dead := r.failed[owner]
-	r.mu.RUnlock()
-	if dead {
-		return hvac.Decision{Kind: r.onFail}
-	}
-	return hvac.Decision{Kind: hvac.RouteNode, Node: owner}
-}
-
-// NodeFailed implements hvac.Router.
-func (r *RingStatic) NodeFailed(node cluster.NodeID) {
-	r.mu.Lock()
-	r.failed[node] = true
-	r.mu.Unlock()
-	if r.onFail == hvac.RouteAbort {
-		r.aborted.Store(true)
-	}
-}
-
-// NodeRecovered implements hvac.RecoveryAware. Recovery clears the
-// noft abort too: under the adaptive controller the job is not dead,
-// the strategy just stops being viable until the fleet heals.
-func (r *RingStatic) NodeRecovered(node cluster.NodeID) {
-	r.mu.Lock()
-	delete(r.failed, node)
-	healthy := len(r.failed) == 0
-	r.mu.Unlock()
-	if healthy {
-		r.aborted.Store(false)
-	}
-}
-
-// FailedCount returns the number of members currently marked failed.
-func (r *RingStatic) FailedCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.failed)
-}
 
 // switchState is the atomically-published active-strategy snapshot.
 type switchState struct {
@@ -163,10 +72,11 @@ type Switchable struct {
 // membership. start selects the initially active member (empty =
 // KindNVMe); virtualNodes <= 0 selects the paper's 100.
 func NewSwitchable(nodes []cluster.NodeID, virtualNodes int, start StrategyKind) *Switchable {
+	frozen := hashring.NewWithNodes(hashring.Config{VirtualNodes: virtualNodes}, nodes)
 	s := &Switchable{
 		members: map[StrategyKind]hvac.Router{
-			KindNoFT: NewRingNoFT(nodes, virtualNodes),
-			KindPFS:  NewRingPFS(nodes, virtualNodes),
+			KindNoFT: NewStatic("NoFT (ring)", frozen, hvac.RouteAbort),
+			KindPFS:  NewStatic("FT w/ PFS (ring)", frozen, hvac.RoutePFS),
 			KindNVMe: NewRingRecache(nodes, virtualNodes),
 		},
 		escape: KindNVMe,
@@ -286,8 +196,6 @@ func (s *Switchable) PlanRejoin(node cluster.NodeID, keys []string) []string {
 }
 
 var (
-	_ hvac.Router        = (*RingStatic)(nil)
-	_ hvac.RecoveryAware = (*RingStatic)(nil)
 	_ hvac.Router        = (*Switchable)(nil)
 	_ hvac.RecoveryAware = (*Switchable)(nil)
 	_ hvac.Replicator    = (*Switchable)(nil)

@@ -281,12 +281,13 @@ func BenchmarkNVMePutGet(b *testing.B) {
 
 // TestNVMeBatchSpillEvictionRace drives concurrent PutBatch calls into
 // a store whose budget forces constant cross-shard spill and eviction:
-// batches large relative to capacity mean every insert triggers the
-// evictShardLockedProtected / evictSpill machinery while other batches
-// and single puts race it. Under -race this exercises the lock-ordering
-// and accounting paths; the assertions pin the invariants — the global
-// byte budget is never overshot, per-shard atomic mirrors reconcile
-// with the locked maps, and every surviving object reads back intact.
+// batches large relative to capacity mean every insert runs the lru
+// engine's reserve-then-publish path (evict from its own shard first,
+// then from the others) while other batches and single puts race it.
+// Under -race this exercises the lock-ordering and accounting paths;
+// the assertions pin the invariants — the global byte budget is never
+// overshot, per-shard atomic mirrors reconcile with the locked maps,
+// and every surviving object reads back intact.
 func TestNVMeBatchSpillEvictionRace(t *testing.T) {
 	const (
 		capacity   = 4096

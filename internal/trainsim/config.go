@@ -4,8 +4,9 @@
 //
 // What is modelled mechanistically (not curve-fit):
 //
-//   - real placement: the same hash-ring / modulo code paths the live
-//     system uses decide which node owns every one of the 524,288 files;
+//   - real placement: the placements the live routers use (the hash
+//     ring, ftcache.Modulo) decide which node owns every one of the
+//     524,288 files;
 //   - cold first epoch: every first touch is a PFS fetch that then
 //     populates the owner's NVMe;
 //   - batch-synchronous steps: a step ends when the slowest node ends

@@ -194,18 +194,17 @@ func (m *model) init() {
 		m.rankOf[m.nodeNames[i]] = int32(i)
 	}
 
-	switch m.cfg.Strategy {
-	case ftcache.KindNVMe:
+	// NoFT and FT w/ PFS use HVAC's static modulo placement, FT w/ NVMe
+	// the ring — the placements the live routers use.
+	var place ftcache.Placement = ftcache.NewModulo(m.nodeNames)
+	if m.cfg.Strategy == ftcache.KindNVMe {
 		m.ring = hashring.NewWithNodes(
 			hashring.Config{VirtualNodes: m.cfg.VirtualNodes}, m.nodeNames)
-		for i, p := range m.paths {
-			o, _ := m.ring.Owner(p)
-			m.owner[i] = m.rankOf[o]
-		}
-	default: // NoFT and FT w/ PFS use HVAC's static modulo placement
-		for i, p := range m.paths {
-			m.owner[i] = int32(xhash.FNV1aString(p) % uint64(m.cfg.Nodes))
-		}
+		place = m.ring
+	}
+	for i, p := range m.paths {
+		o, _ := place.Owner(p)
+		m.owner[i] = m.rankOf[o]
 	}
 
 	m.live = make([]int32, m.cfg.Nodes)

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/ftcache"
+	"repro/internal/hvac"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -290,5 +292,25 @@ func BenchmarkRunScaled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Run(cfg)
+	}
+}
+
+// The simulator places every file where the shipped router sends it:
+// for each strategy, the model's healthy-state owner of each file is
+// the node ftcache.NewRouter routes that file's path to.
+func TestPlacementMatchesLiveRouters(t *testing.T) {
+	for _, kind := range []ftcache.StrategyKind{ftcache.KindNoFT, ftcache.KindPFS, ftcache.KindNVMe} {
+		cfg := testConfig(12, kind)
+		cfg.VirtualNodes = 20
+		m := &model{cfg: cfg, eng: sim.New(), rng: newRNG(cfg.Seed)}
+		m.init()
+		router := ftcache.NewRouter(kind, m.nodeNames, cfg.VirtualNodes)
+		for i, p := range m.paths {
+			d := router.Route(p)
+			if d.Kind != hvac.RouteNode || m.nodeNames[m.owner[i]] != d.Node {
+				t.Fatalf("%s: file %d (%s) owned by %s in the model, routed %+v live",
+					kind, i, p, m.nodeNames[m.owner[i]], d)
+			}
+		}
 	}
 }
