@@ -38,8 +38,10 @@ static: ftclint
 	go vet ./...
 	$(GOBIN)/ftclint ./...
 
-# verify is the full local gate: what CI enforces, in one command.
-verify: build lint test
+# verify is the full local gate: what CI enforces, in one command —
+# the static job's gofmt/vet/standalone-ftclint gate, the vet-protocol
+# ftclint run, and the tests.
+verify: build static lint test
 
 bench:
 	go test -run=NONE -bench=. -benchtime=100x ./internal/hashring ./internal/rpc

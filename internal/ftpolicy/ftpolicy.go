@@ -136,7 +136,7 @@ type Signals struct {
 	Tick       int64   `json:"tick"`
 	Failures   float64 `json:"failures"`    // detector declarations this tick
 	Recoveries float64 `json:"recoveries"`  // revivals this tick
-	Timeouts   float64 `json:"timeouts"`    // RPC timeouts this tick
+	Timeouts   float64 `json:"timeouts"`    // failure evidence this tick: timeouts plus exhausted conn-class retries
 	DirectPFS  float64 `json:"direct_pfs"`  // client-side PFS reads this tick
 	ServedPFS  float64 `json:"served_pfs"`  // server-side PFS fallbacks this tick
 	Sheds      float64 `json:"sheds"`       // admission sheds redirected this tick

@@ -7,20 +7,17 @@
 // virtual points so that, when a node fails, its load is spread over many
 // successors instead of a single neighbour.
 //
-// Two interchangeable implementations are provided:
+// Ring keeps copy-on-write sorted point slices — lock-free O(log P)
+// lookups against an immutable snapshot, O(P) membership change
+// (P = total virtual points) — the fastest shape for the read-dominated
+// cache path: Owner never takes a lock and never contends with other
+// readers, no matter how many cores are issuing I/O.
 //
-//   - Ring: copy-on-write sorted point slices — lock-free O(log P)
-//     lookups against an immutable snapshot, O(P) membership change
-//     (P = total virtual points). This is the default and the fastest
-//     for the read-dominated cache path: Owner never takes a lock and
-//     never contends with other readers, no matter how many cores are
-//     issuing I/O.
-//   - TreeRing (llrb.go): a left-leaning red-black tree, the closest Go
-//     equivalent of the std::map the paper's C++ artifact used —
-//     O(log P) for both lookups and membership changes.
-//
-// The shared behaviour is captured by the Locator interface so the two
-// can be tested and benchmarked against each other.
+// The package tests carry TreeRing, a left-leaning red-black tree and
+// the closest Go equivalent of the std::map the paper's C++ artifact
+// used. It is the equivalence oracle for Ring and the baseline of the
+// BenchmarkRingVsTree ablation; the Locator interface is the lookup
+// surface the two share.
 package hashring
 
 import (

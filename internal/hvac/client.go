@@ -134,7 +134,7 @@ type ClientStats struct {
 	ServedPFS     int64 // remote reads that fell back to PFS server-side
 	DirectPFS     int64 // client-side PFS reads (redirection strategy)
 	DirectBytes   int64
-	Timeouts      int64 // RPC timeouts observed
+	Timeouts      int64 // failure evidence recorded against a node: timeouts plus exhausted conn-class retries
 	FailoverReads int64 // reads that needed more than one attempt
 	ReplicaPushes int64 // replica writes issued (replication extension)
 
@@ -160,24 +160,11 @@ type Client struct {
 	rejoinMu  sync.Mutex
 	rejoining map[cluster.NodeID]bool
 
-	remoteReads   atomic.Int64
-	remoteBytes   atomic.Int64
-	servedRAM     atomic.Int64
-	servedNVMe    atomic.Int64
-	servedPFS     atomic.Int64
-	directPFS     atomic.Int64
-	directBytes   atomic.Int64
-	timeouts      atomic.Int64
-	failoverReads atomic.Int64
-	replicaPushes atomic.Int64
+	// ctr holds this client's event counters (see Stats).
+	ctr clientCounters
 
 	// load is the optional hot-object load-control state (nil = off).
-	load           *loadctl.Controller
-	coalescedReads atomic.Int64
-	hedgedReads    atomic.Int64
-	hedgeWins      atomic.Int64
-	hotPushes      atomic.Int64
-	shedRedirects  atomic.Int64
+	load *loadctl.Controller
 
 	// ingest is the optional batched async put pipeline (nil = off).
 	ingest *ingester
@@ -236,6 +223,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		rejoining: make(map[cluster.NodeID]bool),
 		replSem:   make(chan struct{}, 16),
 		latency:   stats.NewLatencyTracker(),
+		ctr:       newClientCounters(),
 	}
 	c.retryBudget.Store(-1)
 	c.tracker.OnFailure(cfg.Router.NodeFailed)
@@ -281,25 +269,27 @@ func (c *Client) Latency() stats.LatencySnapshot {
 	return c.latency.Snapshot()
 }
 
-// Stats snapshots the client counters.
+// Stats snapshots the client counters: a read of this client's
+// client-labeled ftc_client_* series.
 func (c *Client) Stats() ClientStats {
+	m := &c.ctr
 	return ClientStats{
-		RemoteReads:   c.remoteReads.Load(),
-		RemoteBytes:   c.remoteBytes.Load(),
-		ServedRAM:     c.servedRAM.Load(),
-		ServedNVMe:    c.servedNVMe.Load(),
-		ServedPFS:     c.servedPFS.Load(),
-		DirectPFS:     c.directPFS.Load(),
-		DirectBytes:   c.directBytes.Load(),
-		Timeouts:      c.timeouts.Load(),
-		FailoverReads: c.failoverReads.Load(),
-		ReplicaPushes: c.replicaPushes.Load(),
+		RemoteReads:   m.remoteReads.Load(),
+		RemoteBytes:   m.remoteBytes.Load(),
+		ServedRAM:     m.servedRAM.Load(),
+		ServedNVMe:    m.servedNVMe.Load(),
+		ServedPFS:     m.servedPFS.Load(),
+		DirectPFS:     m.directPFS.Load(),
+		DirectBytes:   m.directBytes.Load(),
+		Timeouts:      m.timeouts.Load(),
+		FailoverReads: m.failoverReads.Load(),
+		ReplicaPushes: m.replicaPushes.Load(),
 
-		CoalescedReads: c.coalescedReads.Load(),
-		HedgedReads:    c.hedgedReads.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
-		HotPushes:      c.hotPushes.Load(),
-		ShedRedirects:  c.shedRedirects.Load(),
+		CoalescedReads: m.coalescedReads.Load(),
+		HedgedReads:    m.hedgedReads.Load(),
+		HedgeWins:      m.hedgeWins.Load(),
+		HotPushes:      m.hotPushes.Load(),
+		ShedRedirects:  m.shedRedirects.Load(),
 	}
 }
 
@@ -371,11 +361,11 @@ func (c *Client) dropConn(node cluster.NodeID) {
 	}
 }
 
-// noteTimeout records failure evidence against node; the tracker invokes
-// Router.NodeFailed when the threshold is crossed.
+// noteTimeout records failure evidence against node: a timeout, or a
+// conn-class failure whose retry budget is exhausted. The tracker
+// invokes Router.NodeFailed when the threshold is crossed.
 func (c *Client) noteTimeout(node cluster.NodeID) {
-	c.timeouts.Add(1)
-	cliMetrics().timeouts.Inc()
+	c.ctr.timeouts.Inc()
 	c.tracker.RecordTimeout(node)
 }
 
@@ -454,8 +444,7 @@ func (c *Client) readCoalesced(ctx context.Context, path string) ([]byte, error)
 			if leader != 0 {
 				sp.AnnotateInt("leader_id", int64(leader))
 			}
-			c.coalescedReads.Add(1)
-			cliMetrics().coalesced.Inc()
+			c.ctr.coalescedReads.Inc()
 		} else {
 			sp.Annotate("role", "leader")
 		}
@@ -479,8 +468,7 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 	m := cliMetrics()
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt == 1 {
-			c.failoverReads.Add(1)
-			m.failovers.Inc()
+			c.ctr.failoverReads.Inc()
 		}
 		d := c.cfg.Router.Route(path)
 		switch d.Kind {
@@ -513,8 +501,7 @@ func (c *Client) readAttempts(ctx context.Context, path string, offset, length i
 				// Fall through to the PFS if we can — that converts an
 				// overload wall into bounded extra PFS traffic — else
 				// loop and retry (the shed queue drains in milliseconds).
-				c.shedRedirects.Add(1)
-				m.shedRedirects.Inc()
+				c.ctr.shedRedirects.Inc()
 				if c.cfg.PFS != nil {
 					return c.readPFS(ctx, path, offset, length)
 				}
@@ -553,9 +540,8 @@ func (c *Client) readPFS(ctx context.Context, path string, offset, length int64)
 	if !ok {
 		return nil, fmt.Errorf("hvac: range out of bounds for %s", path)
 	}
-	c.directPFS.Add(1)
-	cliMetrics().directPFS.Inc()
-	c.directBytes.Add(int64(len(body)))
+	c.ctr.directPFS.Inc()
+	c.ctr.directBytes.Add(int64(len(body)))
 	return body, nil
 }
 
@@ -777,18 +763,15 @@ func (c *Client) readNodeOnce(ctx context.Context, node cluster.NodeID, path str
 	if c.load != nil && note {
 		c.load.Hedge.Observe(elapsed)
 	}
-	c.remoteReads.Add(1)
-	c.remoteBytes.Add(int64(len(resp.Data)))
+	c.ctr.remoteReads.Inc()
+	c.ctr.remoteBytes.Add(int64(len(resp.Data)))
 	switch resp.Source {
 	case SourceRAM:
-		c.servedRAM.Add(1)
-		cliMetrics().servedRAM.Inc()
+		c.ctr.servedRAM.Inc()
 	case SourceNVMe:
-		c.servedNVMe.Add(1)
-		cliMetrics().servedNVMe.Inc()
+		c.ctr.servedNVMe.Inc()
 	default:
-		c.servedPFS.Add(1)
-		cliMetrics().servedPFS.Inc()
+		c.ctr.servedPFS.Inc()
 		// A PFS fallback means this was the object's first touch (or a
 		// post-failure recache) — replicate it to the secondary owners.
 		if c.cfg.ReplicationFactor > 1 && offset == 0 && length < 0 {
@@ -943,8 +926,7 @@ func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands [
 		case <-hedgeC:
 			hedgeC = nil
 			if launched < len(order) {
-				c.hedgedReads.Add(1)
-				m.hedges.Inc()
+				c.ctr.hedgedReads.Inc()
 				psp.Annotate("hedge", "fired")
 				launch(true)
 				outstanding++
@@ -956,8 +938,7 @@ func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands [
 				elapsed := int64(time.Since(start))
 				switch {
 				case r.hedged:
-					c.hedgeWins.Add(1)
-					m.hedgeWins.Inc()
+					c.ctr.hedgeWins.Inc()
 					m.hedgeLatency.Observe(elapsed)
 					psp.Annotate("hedge", "win")
 				case r.node == primary:
@@ -978,8 +959,7 @@ func (c *Client) readFanout(ctx context.Context, primary cluster.NodeID, cands [
 				timeoutClass = false
 			}
 			if errors.Is(r.err, ErrOverloaded) {
-				c.shedRedirects.Add(1)
-				m.shedRedirects.Inc()
+				c.ctr.shedRedirects.Inc()
 			}
 			// A failed leg is an immediate go-signal for the next
 			// candidate — no point waiting for the hedge timer.
@@ -1022,8 +1002,7 @@ func (c *Client) maybePushHot(path string, data []byte) {
 				continue
 			}
 			if c.ingest.enqueue(node, path, data) == nil {
-				c.hotPushes.Add(1)
-				cliMetrics().hotPush.Inc()
+				c.ctr.hotPushes.Inc()
 			}
 		}
 		return
@@ -1048,8 +1027,7 @@ func (c *Client) maybePushHot(path string, data []byte) {
 			sp.SetError(err)
 			sp.End()
 			if err == nil {
-				c.hotPushes.Add(1)
-				cliMetrics().hotPush.Inc()
+				c.ctr.hotPushes.Inc()
 			}
 		}()
 	}
@@ -1073,8 +1051,7 @@ func (c *Client) replicateAsync(path string, data []byte) {
 		// so the aliased RPC buffer is never retained.
 		for _, node := range owners[1:] {
 			if c.ingest.enqueue(node, path, data) == nil {
-				c.replicaPushes.Add(1)
-				cliMetrics().replicaPush.Inc()
+				c.ctr.replicaPushes.Inc()
 			}
 		}
 		return
@@ -1099,8 +1076,7 @@ func (c *Client) replicateAsync(path string, data []byte) {
 			sp.SetError(err)
 			sp.End()
 			if err == nil {
-				c.replicaPushes.Add(1)
-				cliMetrics().replicaPush.Inc()
+				c.ctr.replicaPushes.Inc()
 			}
 		}()
 	}

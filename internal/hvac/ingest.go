@@ -469,8 +469,7 @@ func (c *Client) PutAsync(path string, data []byte) error {
 		}
 		// Replica legs are best-effort, like replicateAsync.
 		if c.ingest.enqueue(node, path, data) == nil {
-			c.replicaPushes.Add(1)
-			cliMetrics().replicaPush.Inc()
+			c.ctr.replicaPushes.Inc()
 		}
 	}
 	return nil

@@ -1,26 +1,77 @@
 package hvac
 
 import (
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
 
-// clientMetrics are shared by every HVAC client in the process: in a
-// training job each rank runs one client and the aggregate over ranks
-// is the paper-relevant signal (per-client detail stays available via
-// Client.Stats). Handles resolve once; the read path never touches the
-// registry.
+// clientCounters are one client's event counters: one labeled series
+// per ClientStats field in the Default registry, so Client.Stats and
+// /metrics read the same counter and each event site bumps exactly one
+// handle. The label is a process-wide client sequence number; the
+// process-wide view is the sum over it. A closed client's series stay
+// registered with their final values.
+type clientCounters struct {
+	id string // value of the client label
+
+	remoteReads   *telemetry.Counter // successful RPC reads
+	remoteBytes   *telemetry.Counter // bytes returned by those reads
+	servedRAM     *telemetry.Counter // remote reads served from the owner's RAM tier
+	servedNVMe    *telemetry.Counter // remote reads served from owner NVMe (cache hit)
+	servedPFS     *telemetry.Counter // remote reads the server fell back to PFS for (cache miss)
+	directPFS     *telemetry.Counter // client-side PFS bypass reads (redirection strategy)
+	directBytes   *telemetry.Counter // bytes returned by those reads
+	timeouts      *telemetry.Counter // failure evidence recorded against a node: timeouts plus exhausted conn-class retries
+	failoverReads *telemetry.Counter // reads that needed more than one attempt
+	replicaPushes *telemetry.Counter // replica writes issued
+
+	// Load-control counters (zero unless ClientConfig.LoadControl set).
+	coalescedReads *telemetry.Counter // reads served by joining another caller's flight
+	hedgedReads    *telemetry.Counter // hedge legs launched
+	hedgeWins      *telemetry.Counter // reads won by the hedged leg
+	hotPushes      *telemetry.Counter // hot-object replica pushes issued
+	shedRedirects  *telemetry.Counter // overload sheds redirected to replica/PFS
+}
+
+// clientSeq numbers the clients of this process for the client label.
+var clientSeq atomic.Int64
+
+func newClientCounters() clientCounters {
+	reg := telemetry.Default()
+	id := strconv.FormatInt(clientSeq.Add(1), 10)
+	ctr := func(name string) *telemetry.Counter { return reg.Counter(name, "client", id) }
+	return clientCounters{
+		id: id,
+
+		remoteReads:   ctr("ftc_client_remote_reads_total"),
+		remoteBytes:   ctr("ftc_client_remote_bytes_total"),
+		servedRAM:     ctr("ftc_client_served_ram_total"),
+		servedNVMe:    ctr("ftc_client_served_nvme_total"),
+		servedPFS:     ctr("ftc_client_served_pfs_total"),
+		directPFS:     ctr("ftc_client_direct_pfs_total"),
+		directBytes:   ctr("ftc_client_direct_bytes_total"),
+		timeouts:      ctr("ftc_client_timeouts_total"),
+		failoverReads: ctr("ftc_client_failover_reads_total"),
+		replicaPushes: ctr("ftc_client_replica_pushes_total"),
+
+		coalescedReads: ctr("ftc_client_coalesced_reads_total"),
+		hedgedReads:    ctr("ftc_client_hedged_reads_total"),
+		hedgeWins:      ctr("ftc_client_hedge_wins_total"),
+		hotPushes:      ctr("ftc_client_hot_pushes_total"),
+		shedRedirects:  ctr("ftc_client_shed_redirects_total"),
+	}
+}
+
+// clientMetrics are the client series without a per-client view: they
+// are shared by every HVAC client in the process, where the aggregate
+// over a training job's ranks is the signal. Handles resolve once; the
+// read path never touches the registry.
 type clientMetrics struct {
 	reads       *telemetry.Counter   // completed Read/ReadRange calls (any outcome)
 	readLatency *telemetry.Histogram // end-to-end read latency incl. failover
-	servedRAM   *telemetry.Counter   // remote reads served from the owner's RAM tier
-	servedNVMe  *telemetry.Counter   // remote reads served from owner NVMe (cache hit)
-	servedPFS   *telemetry.Counter   // remote reads the server fell back to PFS for (cache miss)
-	directPFS   *telemetry.Counter   // client-side PFS bypass reads (redirection strategy)
-	timeouts    *telemetry.Counter   // detection-timer expiries observed
-	failovers   *telemetry.Counter   // reads that needed more than one attempt
-	replicaPush *telemetry.Counter   // replica writes issued
 	aborts      *telemetry.Counter   // reads terminated by RouteAbort (NoFT)
 
 	// Retry / rejoin series (zero unless Retry is set / Rejoin is used).
@@ -30,7 +81,6 @@ type clientMetrics struct {
 	rejoinWarmFiles *telemetry.Counter // objects warmed onto rejoining nodes
 	rejoinWarmBytes *telemetry.Counter // bytes warmed onto rejoining nodes
 
-	// Load-control series (all zero unless ClientConfig.LoadControl set).
 	// Ingest series (zero unless ClientConfig.Ingest is set).
 	ingestEntries      *telemetry.Counter   // objects accepted by PutAsync / riding batches
 	ingestBatches      *telemetry.Counter   // batches sealed
@@ -40,14 +90,10 @@ type clientMetrics struct {
 	ingestFlushSync    *telemetry.Counter   // batches sealed by an explicit barrier
 	ingestErrors       *telemetry.Counter   // objects whose batched delivery failed
 
-	coalesced     *telemetry.Counter   // reads served by joining another caller's flight
-	hedges        *telemetry.Counter   // hedge legs launched
-	hedgeWins     *telemetry.Counter   // reads won by the hedged leg
-	hotPush       *telemetry.Counter   // hot-object replica pushes issued
-	shedRedirects *telemetry.Counter   // overload sheds redirected to replica/PFS
-	ownerLatency  *telemetry.Histogram // hot reads answered by the ring owner
-	replLatency   *telemetry.Histogram // hot reads answered by a replica
-	hedgeLatency  *telemetry.Histogram // hot reads answered by a hedge leg
+	// Load-control latency split (empty unless ClientConfig.LoadControl set).
+	ownerLatency *telemetry.Histogram // hot reads answered by the ring owner
+	replLatency  *telemetry.Histogram // hot reads answered by a replica
+	hedgeLatency *telemetry.Histogram // hot reads answered by a hedge leg
 }
 
 var (
@@ -61,13 +107,6 @@ func cliMetrics() *clientMetrics {
 		cliMetricsInst = &clientMetrics{
 			reads:       reg.Counter("ftc_client_reads_total"),
 			readLatency: reg.Histogram("ftc_client_read_latency_seconds"),
-			servedRAM:   reg.Counter("ftc_client_served_ram_total"),
-			servedNVMe:  reg.Counter("ftc_client_served_nvme_total"),
-			servedPFS:   reg.Counter("ftc_client_served_pfs_total"),
-			directPFS:   reg.Counter("ftc_client_direct_pfs_total"),
-			timeouts:    reg.Counter("ftc_client_timeouts_total"),
-			failovers:   reg.Counter("ftc_client_failover_reads_total"),
-			replicaPush: reg.Counter("ftc_client_replica_pushes_total"),
 			aborts:      reg.Counter("ftc_client_aborts_total"),
 
 			retries:         reg.Counter("ftc_client_retry_attempts_total"),
@@ -84,14 +123,9 @@ func cliMetrics() *clientMetrics {
 			ingestFlushSync:    reg.Counter("ftc_client_ingest_flush_sync_total"),
 			ingestErrors:       reg.Counter("ftc_client_ingest_errors_total"),
 
-			coalesced:     reg.Counter("ftc_client_coalesced_reads_total"),
-			hedges:        reg.Counter("ftc_client_hedged_reads_total"),
-			hedgeWins:     reg.Counter("ftc_client_hedge_wins_total"),
-			hotPush:       reg.Counter("ftc_client_hot_pushes_total"),
-			shedRedirects: reg.Counter("ftc_client_shed_redirects_total"),
-			ownerLatency:  reg.Histogram("ftc_client_read_owner_latency_seconds"),
-			replLatency:   reg.Histogram("ftc_client_read_replica_latency_seconds"),
-			hedgeLatency:  reg.Histogram("ftc_client_read_hedged_latency_seconds"),
+			ownerLatency: reg.Histogram("ftc_client_read_owner_latency_seconds"),
+			replLatency:  reg.Histogram("ftc_client_read_replica_latency_seconds"),
+			hedgeLatency: reg.Histogram("ftc_client_read_hedged_latency_seconds"),
 		}
 		m := cliMetricsInst
 		reg.RegisterDebug("ingest", func() any {

@@ -1,12 +1,11 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harnesses: streaming mean/variance, percentiles, histograms,
-// and run summaries. The paper reports averages over 3 repeated runs
+// experiment harnesses: streaming mean/variance, percentiles and
+// streaming quantiles. The paper reports averages over 3 repeated runs
 // (training experiments) and 500 trials (load-distribution simulation)
 // with standard deviations; this package computes exactly those.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -134,101 +133,4 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Summary is a compact description of a sample used in experiment output.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	P50    float64
-	P95    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return Summary{
-		N:      len(s),
-		Mean:   Mean(s),
-		StdDev: StdDev(s),
-		Min:    s[0],
-		P50:    Percentile(s, 50),
-		P95:    Percentile(s, 95),
-		Max:    s[len(s)-1],
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Histogram is a fixed-width-bucket histogram over [Lo, Hi). Values
-// outside the range are clamped into the first/last bucket so totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi  float64
-	Buckets []int
-	total   int
-}
-
-// NewHistogram creates a histogram with nbuckets equal-width buckets
-// spanning [lo, hi). It panics if nbuckets < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, nbuckets int) *Histogram {
-	if nbuckets < 1 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int, nbuckets)}
-}
-
-// Add records x in the appropriate bucket.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Buckets) {
-		idx = len(h.Buckets) - 1
-	}
-	h.Buckets[idx]++
-	h.total++
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns bucket i's share of the total, or 0 when empty.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Buckets[i]) / float64(h.total)
-}
-
-// BucketBounds returns the [lo, hi) range covered by bucket i.
-func (h *Histogram) BucketBounds(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Buckets))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// CoeffVar returns the coefficient of variation (stddev/mean) of xs, a
-// scale-free imbalance measure used in the load-distribution analysis.
-// Returns 0 when the mean is 0.
-func CoeffVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return StdDev(xs) / m
 }

@@ -127,72 +127,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("bad summary: %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary should have N=0")
-	}
-	if s.String() == "" {
-		t.Error("summary string should be non-empty")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 15} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -3 clamps into bucket 0; 15 clamps into bucket 4.
-	if h.Buckets[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bucket 0 = %d, want 3", h.Buckets[0])
-	}
-	if h.Buckets[4] != 2 { // 9.99, 15
-		t.Errorf("bucket 4 = %d, want 2", h.Buckets[4])
-	}
-	if !almostEq(h.Fraction(0), 3.0/7.0, 1e-12) {
-		t.Errorf("fraction(0) = %v", h.Fraction(0))
-	}
-	lo, hi := h.BucketBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Errorf("bounds(1) = [%v,%v), want [2,4)", lo, hi)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestCoeffVar(t *testing.T) {
-	if CoeffVar([]float64{5, 5, 5}) != 0 {
-		t.Error("constant sample should have CV 0")
-	}
-	if CoeffVar([]float64{0, 0}) != 0 {
-		t.Error("zero-mean sample should report CV 0")
-	}
-	cv := CoeffVar([]float64{10, 20})
-	if !almostEq(cv, StdDev([]float64{10, 20})/15, 1e-12) {
-		t.Errorf("cv = %v", cv)
-	}
-}
-
 func TestRunningQuickMeanInRange(t *testing.T) {
 	// Property: mean always lies within [min, max].
 	f := func(xs []float64) bool {
